@@ -165,7 +165,7 @@ func BenchmarkReadyRelease_Merge(b *testing.B) {
 	rest, fresh := readyReleaseInputs(512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		readySink = mergeReady(rest, fresh)
+		readySink = mergeReady(nil, rest, fresh)
 	}
 }
 

@@ -230,7 +230,8 @@ func TestBindWorkerRejectsOutOfRange(t *testing.T) {
 
 // TestPropMergeReadyOrderedDuplicateFree is the mergeReady property test:
 // any split of a sorted duplicate-free ID set into a "rest" suffix and a
-// shuffled "fresh" batch must merge back to the original sorted set.
+// shuffled "fresh" batch must merge back to the original sorted set, into a
+// new slice or in place over the ready list rest came from.
 func TestPropMergeReadyOrderedDuplicateFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 2000; iter++ {
@@ -252,7 +253,24 @@ func TestPropMergeReadyOrderedDuplicateFree(t *testing.T) {
 		}
 		rng.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
 
-		got := mergeReady(rest, fresh)
+		// Half the iterations merge in place: rest is the suffix of a
+		// ready list whose first take nodes were consumed, and the backing
+		// array has room for the result only sometimes.
+		var got []cellgraph.NodeID
+		if iter%2 == 0 {
+			got = mergeReady(nil, rest, fresh)
+		} else {
+			take := rng.Intn(4)
+			backing := make([]cellgraph.NodeID, take, take+len(rest)+rng.Intn(len(fresh)+1))
+			backing = append(backing, rest...)
+			got = mergeReady(backing[:0], backing[take:], fresh)
+			if len(got) > 0 {
+				fits := len(got) <= cap(backing)
+				if inPlace := cap(backing) > 0 && &got[0] == &backing[:1][0]; inPlace != fits {
+					t.Fatalf("iter %d: result fits the backing array: %v, merged in place: %v", iter, fits, inPlace)
+				}
+			}
+		}
 		if len(got) != len(ids) {
 			t.Fatalf("iter %d: merged %d ids, want %d", iter, len(got), len(ids))
 		}

@@ -486,3 +486,33 @@ func TestManyRequestsManyWorkersConservation(t *testing.T) {
 		t.Fatalf("executed %d nodes, want %d", total, want)
 	}
 }
+
+// TestScheduleCycleAllocs pins the heap allocations of one single-row
+// Schedule + TaskCompleted cycle on a long chain: the returned task list,
+// the Task, its node list and its subgraph list. Type selection, the
+// released-successor scratch and the ready-list merge allocate nothing.
+func TestScheduleCycleAllocs(t *testing.T) {
+	s, err := NewScheduler(Config{
+		Types:            []TypeConfig{{Key: "enc", MaxBatch: 8}, {Key: "lstm", MaxBatch: 8, Priority: 1}},
+		MaxTasksToSubmit: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddSubgraph(chainSpec(1, "lstm", 1000)); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		tasks := s.Schedule(0)
+		if len(tasks) != 1 || len(tasks[0].Nodes) != 1 {
+			t.Fatalf("Schedule returned %d tasks, want one single-row task", len(tasks))
+		}
+		if err := s.TaskCompleted(tasks[0].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // grow the scheduler's scratch
+	if got := testing.AllocsPerRun(200, cycle); got != 4 {
+		t.Fatalf("Schedule+TaskCompleted allocates %v times per single-row task, want 4", got)
+	}
+}

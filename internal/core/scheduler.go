@@ -217,6 +217,7 @@ type Scheduler struct {
 	workerDev        map[WorkerID]DeviceID
 	lastDev          map[RequestID]DeviceID
 	devScratch       []float64
+	fresh            []cellgraph.NodeID // updateNodesDependency scratch
 	pinMoves         int
 	remoteTasks      int
 	migratedRequests int
@@ -411,39 +412,28 @@ func (s *Scheduler) Schedule(worker WorkerID) []*Task {
 // (c) otherwise, types with any ready nodes;
 // highest Priority wins (first in typeOrder on ties).
 func (s *Scheduler) pickType(dev DeviceID, local bool) *cellType {
-	var candidates []*cellType
-	for _, key := range s.typeOrder {
-		ct := s.types[key]
-		if ct.residentOn(dev) == local && ct.readyNodes >= ct.cfg.MaxBatch {
-			candidates = append(candidates, ct)
-		}
-	}
-	if len(candidates) == 0 {
+	for pass := 0; pass < 3; pass++ {
+		var best *cellType
 		for _, key := range s.typeOrder {
 			ct := s.types[key]
-			if ct.residentOn(dev) == local && ct.runningTasks == 0 && ct.readyNodes > 0 {
-				candidates = append(candidates, ct)
+			if ct.residentOn(dev) != local || ct.readyNodes == 0 {
+				continue
+			}
+			switch {
+			case pass == 0 && ct.readyNodes < ct.cfg.MaxBatch:
+				continue
+			case pass == 1 && ct.runningTasks != 0:
+				continue
+			}
+			if best == nil || ct.cfg.Priority > best.cfg.Priority {
+				best = ct
 			}
 		}
-	}
-	if len(candidates) == 0 {
-		for _, key := range s.typeOrder {
-			ct := s.types[key]
-			if ct.residentOn(dev) == local && ct.readyNodes > 0 {
-				candidates = append(candidates, ct)
-			}
+		if best != nil {
+			return best
 		}
 	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	best := candidates[0]
-	for _, ct := range candidates[1:] {
-		if ct.cfg.Priority > best.cfg.Priority {
-			best = ct
-		}
-	}
-	return best
+	return nil
 }
 
 // batch implements Algorithm 1's Batch function.
@@ -548,7 +538,7 @@ func (s *Scheduler) updateNodesDependency(ct *cellType, task *Task) {
 		ct.readyNodes -= take
 		s.totalReady -= take
 		sg.unissued -= take
-		var fresh []cellgraph.NodeID
+		fresh := s.fresh[:0]
 		for _, n := range taken {
 			for _, dep := range sg.dependents[n] {
 				sg.pendingDeps[dep]--
@@ -557,7 +547,10 @@ func (s *Scheduler) updateNodesDependency(ct *cellType, task *Task) {
 				}
 			}
 		}
-		sg.ready = mergeReady(rest, fresh)
+		// formBatchedTask copied the taken nodes into the task, so the
+		// ready list's backing array is free to take the merge.
+		sg.ready = mergeReady(sg.ready[:0], rest, fresh)
+		s.fresh = fresh
 		ct.readyNodes += len(fresh)
 		s.totalReady += len(fresh)
 	}
@@ -565,29 +558,35 @@ func (s *Scheduler) updateNodesDependency(ct *cellType, task *Task) {
 
 // mergeReady combines the un-taken remainder of a ready list (already
 // sorted — it is a suffix of a sorted list) with freshly released nodes
-// into a new sorted slice. The fresh batch is tiny (usually one node per
+// into one sorted slice. The fresh batch is tiny (usually one node per
 // released dependency edge), so it is insertion-sorted and then merged in
 // one pass instead of re-sorting the whole ready list with sort.Slice,
-// which dominated the scheduling loop on long chains.
-func mergeReady(rest, fresh []cellgraph.NodeID) []cellgraph.NodeID {
+// which dominated the scheduling loop on long chains. The result goes into
+// buf's backing array when it fits there, rest included (rest may share
+// that array: it is moved to the front first and the merge runs from the
+// back), and into a new slice otherwise.
+func mergeReady(buf, rest, fresh []cellgraph.NodeID) []cellgraph.NodeID {
 	for i := 1; i < len(fresh); i++ {
 		for j := i; j > 0 && fresh[j] < fresh[j-1]; j-- {
 			fresh[j], fresh[j-1] = fresh[j-1], fresh[j]
 		}
 	}
-	out := make([]cellgraph.NodeID, 0, len(rest)+len(fresh))
-	i, j := 0, 0
-	for i < len(rest) && j < len(fresh) {
-		if rest[i] <= fresh[j] {
-			out = append(out, rest[i])
-			i++
+	n := len(rest) + len(fresh)
+	if n > cap(buf) {
+		buf = make([]cellgraph.NodeID, 0, n)
+	}
+	out := buf[:n]
+	i := copy(out, rest) - 1
+	for k, j := n-1, len(fresh)-1; j >= 0; k-- {
+		if i >= 0 && out[i] > fresh[j] {
+			out[k] = out[i]
+			i--
 		} else {
-			out = append(out, fresh[j])
-			j++
+			out[k] = fresh[j]
+			j--
 		}
 	}
-	out = append(out, rest[i:]...)
-	return append(out, fresh[j:]...)
+	return out
 }
 
 // TaskCompleted must be called by the engine when a worker finishes a task.

@@ -109,7 +109,18 @@ func matMulParallel(dst, a, b, bias []float32, m, k, n int) {
 // Per-row cost therefore drops as the batch grows — the kernel-level reason
 // a batched task is cheaper than the same rows run as batch-1 tasks,
 // mirroring the weight-reuse economics of batched GEMM on an accelerator.
+// On AVX2 hosts the column strips the SIMD kernels cover take them; the
+// result is bit-identical to the pure-Go loops either way (DESIGN.md §9).
 func matMulTile(dst, a, b, bias []float32, m, k, n, j0, j1 int) {
+	matMulTileWith(haveAVX2, dst, a, b, bias, m, k, n, j0, j1)
+}
+
+// matMulTileWith is matMulTile with the kernel choice explicit: simd runs
+// whole 16-column (4-row blocks) and 32-column (remainder rows) strips in
+// sgemm4x16/sgemm1x32 and leaves the narrower tail to the pure-Go loops,
+// which are the whole kernel when simd is false and the reference the SIMD
+// kernels are tested against.
+func matMulTileWith(simd bool, dst, a, b, bias []float32, m, k, n, j0, j1 int) {
 	for i := 0; i < m; i++ {
 		row := dst[i*n+j0 : i*n+j1]
 		if bias == nil {
@@ -120,43 +131,83 @@ func matMulTile(dst, a, b, bias []float32, m, k, n, j0, j1 int) {
 			copy(row, bias[j0:j1])
 		}
 	}
+	if m == 0 || k == 0 || j0 == j1 {
+		return
+	}
+	// The SIMD kernels reach past the element they are handed, through raw
+	// pointers; this check bounds every such access. It compares lengths
+	// instead of indexing the last elements, which other column tiles may
+	// be writing.
+	if len(dst) < m*n || len(a) < m*k || len(b) < k*n {
+		panic("tensor: matmul operand shorter than its shape")
+	}
 	i := 0
 	for ; i+4 <= m; i += 4 {
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a2 := a[(i+2)*k : (i+3)*k]
-		a3 := a[(i+3)*k : (i+4)*k]
-		o0 := dst[(i+0)*n+j0 : (i+0)*n+j1]
-		o1 := dst[(i+1)*n+j0 : (i+1)*n+j1]
-		o2 := dst[(i+2)*n+j0 : (i+2)*n+j1]
-		o3 := dst[(i+3)*n+j0 : (i+3)*n+j1]
-		for p := 0; p < k; p++ {
-			v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				// Whole block skips: keeps one-hot embedding rows cheap.
-				continue
-			}
-			brow := b[p*n+j0 : p*n+j1]
-			for j, bv := range brow {
-				o0[j] += v0 * bv
-				o1[j] += v1 * bv
-				o2[j] += v2 * bv
-				o3[j] += v3 * bv
+		j := j0
+		if simd {
+			for ; j+16 <= j1; j += 16 {
+				sgemm4x16(&dst[i*n+j], &a[i*k], &b[j], k, k, n, n)
 			}
 		}
+		addRows4(dst, a, b, i, k, n, j, j1)
 	}
 	for ; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n+j0 : i*n+j1]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
+		j := j0
+		if simd {
+			for ; j+32 <= j1; j += 32 {
+				sgemm1x32(&dst[i*n+j], &a[i*k], &b[j], k, n)
 			}
-			brow := b[p*n+j0 : p*n+j1]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+		}
+		addRow1(dst, a, b, i, k, n, j, j1)
+	}
+}
+
+// addRows4 accumulates rows i..i+3 of a @ b into columns [j0, j1) of dst,
+// skipping a step p only when all four a[r, p] are ±0: the whole block
+// skips, which keeps one-hot embedding rows cheap.
+func addRows4(dst, a, b []float32, i, k, n, j0, j1 int) {
+	if j0 == j1 {
+		return
+	}
+	a0 := a[(i+0)*k : (i+1)*k]
+	a1 := a[(i+1)*k : (i+2)*k]
+	a2 := a[(i+2)*k : (i+3)*k]
+	a3 := a[(i+3)*k : (i+4)*k]
+	o0 := dst[(i+0)*n+j0 : (i+0)*n+j1]
+	o1 := dst[(i+1)*n+j0 : (i+1)*n+j1]
+	o2 := dst[(i+2)*n+j0 : (i+2)*n+j1]
+	o3 := dst[(i+3)*n+j0 : (i+3)*n+j1]
+	for p := 0; p < k; p++ {
+		v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
+		if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
+			continue
+		}
+		brow := b[p*n+j0 : p*n+j1]
+		for j, bv := range brow {
+			o0[j] += v0 * bv
+			o1[j] += v1 * bv
+			o2[j] += v2 * bv
+			o3[j] += v3 * bv
+		}
+	}
+}
+
+// addRow1 accumulates row i of a @ b into columns [j0, j1) of dst, skipping
+// a step p when a[i, p] is ±0.
+func addRow1(dst, a, b []float32, i, k, n, j0, j1 int) {
+	if j0 == j1 {
+		return
+	}
+	arow := a[i*k : (i+1)*k]
+	orow := dst[i*n+j0 : i*n+j1]
+	for p := 0; p < k; p++ {
+		av := arow[p]
+		if av == 0 {
+			continue
+		}
+		brow := b[p*n+j0 : p*n+j1]
+		for j, bv := range brow {
+			orow[j] += av * bv
 		}
 	}
 }

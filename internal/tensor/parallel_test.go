@@ -26,9 +26,10 @@ func fillMatrix(rng *rand.Rand, data []float32) {
 }
 
 // TestParallelMatMulBitIdentical is the conformance-critical property test:
-// the column-tiled parallel kernel must produce byte-for-byte the same
-// output as the serial kernel for every shape, including odd shapes that
-// stress the 4-row blocking remainder and tiny column tiles.
+// the column-tiled parallel kernel (SIMD where the host has it) must produce
+// byte-for-byte the same output as the serial pure-Go reference for every
+// shape, including odd shapes that stress the 4-row blocking remainder and
+// tiny column tiles.
 func TestParallelMatMulBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	dims := []int{1, 3, 4, 5, 64, 65}
@@ -46,7 +47,7 @@ func TestParallelMatMulBitIdentical(t *testing.T) {
 				par := make([]float32, m*n)
 
 				// No bias.
-				matMulTile(serial, a, b, nil, m, k, n, 0, n)
+				matMulTileWith(false, serial, a, b, nil, m, k, n, 0, n)
 				matMulParallel(par, a, b, nil, m, k, n)
 				for i := range serial {
 					if math.Float32bits(serial[i]) != math.Float32bits(par[i]) {
@@ -56,7 +57,7 @@ func TestParallelMatMulBitIdentical(t *testing.T) {
 				}
 
 				// With bias initialization.
-				matMulTile(serial, a, b, bias, m, k, n, 0, n)
+				matMulTileWith(false, serial, a, b, bias, m, k, n, 0, n)
 				matMulParallel(par, a, b, bias, m, k, n)
 				for i := range serial {
 					if math.Float32bits(serial[i]) != math.Float32bits(par[i]) {
@@ -80,7 +81,7 @@ func TestParallelMatMulManyTiles(t *testing.T) {
 	fillMatrix(rng, b)
 	serial := make([]float32, m*n)
 	par := make([]float32, m*n)
-	matMulTile(serial, a, b, nil, m, k, n, 0, n)
+	matMulTileWith(false, serial, a, b, nil, m, k, n, 0, n)
 	matMulParallel(par, a, b, nil, m, k, n)
 	for i := range serial {
 		if math.Float32bits(serial[i]) != math.Float32bits(par[i]) {

@@ -12,10 +12,11 @@ import "math"
 // zero-point is exactly 0 and matmul needs no zero-point bookkeeping
 // beyond the fixed +128 packing offset described below.
 //
-// Besides the plain codes the tensor keeps a packed SWAR form that the
-// int8 matmul consumes directly: each code is offset to unsigned
-// u = code+128 ∈ [1,255] and three consecutive u values share one uint64
-// in 21-bit lanes. A left operand packs lanes ascending
+// Besides the plain codes, which the AVX2 kernel reads, the tensor keeps a
+// packed SWAR form that the pure-Go fallback kernel consumes directly (on
+// AVX2 hosts only for the columns past a multiple of four, or k < 16).
+// Each code is offset to unsigned u = code+128 ∈ [1,255] and three
+// consecutive u values share one uint64 in 21-bit lanes. A left operand packs lanes ascending
 // (u0 | u1<<21 | u2<<42); a right (weight) operand packs the same three
 // columns descending (u2 | u1<<21 | u0<<42). Then a single 64-bit
 // multiply computes three exact MACs at once:
@@ -30,9 +31,9 @@ import "math"
 //	Σ a·b = Σ(a+128)(b+128) − 128·Σ(a+128) − 128·Σ(b+128) + 128²·k
 //
 // Zero-padding lanes (u = 0) contribute nothing to either the packed
-// products or the sums, so ragged k needs no special casing. On scalar
-// CPUs this triples int8 MAC throughput per multiply and is what makes
-// the int8 tier faster than the float32 kernel rather than slower.
+// products or the sums, so ragged k needs no special casing. Without SIMD
+// this triples int8 MAC throughput per multiply and is what makes the
+// int8 tier faster than the pure-Go float32 kernel rather than slower.
 const (
 	laneBits     = 21
 	lanesPerWord = 3
@@ -121,9 +122,11 @@ func quantCode(v, inv float32) int32 {
 		return 127
 	case f <= -127:
 		return -127
-	default:
-		return int32(math.Round(f))
 	}
+	// math.Round(f) without its branches: f is the exact product of two
+	// float32s, so it has at most 48 significant bits, and adding ±0.5
+	// cannot round the sum across an integer; the conversion truncates.
+	return int32(f + math.Copysign(0.5, f))
 }
 
 // quantRow quantizes one row of src into row i of dst with the given
@@ -283,12 +286,20 @@ const (
 // MatMulInt8Into computes dst = epilogue(dequant(a × wᵀ) + bias) where a
 // is an activation-form [m, k] Int8Tensor, w is a weight-form [n, k]
 // Int8Tensor (from QuantizeWeights), bias is [n] or nil, and dst is
-// [m, n] float32. The int8×int8→int32 dot products are exact (SWAR lanes,
-// see the package comment above); requantization to float32, bias add and
-// the activation are fused into the output write. The kernel mirrors the
-// float path's 4-row register blocking and fully overwrites dst, so it is
-// arena-safe.
+// [m, n] float32. The int8×int8→int32 dot products are exact: the AVX2
+// kernel where the host has it, the SWAR lanes (see the package comment
+// above) otherwise; requantization to float32, bias add and the activation
+// are fused into the output write. Both kernels run one activation row
+// against four weight rows at a time, so one activation load serves four
+// dot products. The kernel fully overwrites dst, so it is arena-safe.
 func MatMulInt8Into(dst *Tensor, a, w *Int8Tensor, bias *Tensor, ep Epilogue) {
+	matMulInt8(haveAVX2, dst, a, w, bias, ep)
+}
+
+// matMulInt8 is MatMulInt8Into with the dot-product kernel explicit: simd
+// selects dotInt8x4, otherwise the SWAR loop runs. Both produce the same
+// int32 sums, so the outputs are identical.
+func matMulInt8(simd bool, dst *Tensor, a, w *Int8Tensor, bias *Tensor, ep Epilogue) {
 	if a.weight {
 		panic("tensor: MatMulInt8Into left operand must be activation-form")
 	}
@@ -303,76 +314,100 @@ func MatMulInt8Into(dst *Tensor, a, w *Int8Tensor, bias *Tensor, ep Epilogue) {
 	if bias != nil && (bias.Rank() != 1 || bias.Dim(0) != n) {
 		panic("tensor: MatMulInt8Into bias must be rank-1 of length n")
 	}
-	kp := a.pcols
-	// corr folds the +128 packing offset back out: Σa·b = Σ(a+128)(b+128)
-	// − 128·Σ(a+128) − 128·Σ(b+128) + 128²·k.
-	corr := int32(packOffset * packOffset * k)
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		a0 := a.packed[(i+0)*kp : (i+1)*kp]
-		a1 := a.packed[(i+1)*kp : (i+2)*kp]
-		a2 := a.packed[(i+2)*kp : (i+3)*kp]
-		a3 := a.packed[(i+3)*kp : (i+4)*kp]
-		sA0 := corr - packOffset*a.sums[i+0]
-		sA1 := corr - packOffset*a.sums[i+1]
-		sA2 := corr - packOffset*a.sums[i+2]
-		sA3 := corr - packOffset*a.sums[i+3]
-		f0, f1, f2, f3 := a.Scale(i+0), a.Scale(i+1), a.Scale(i+2), a.Scale(i+3)
-		o0 := dst.data[(i+0)*n : (i+1)*n]
-		o1 := dst.data[(i+1)*n : (i+2)*n]
-		o2 := dst.data[(i+2)*n : (i+3)*n]
-		o3 := dst.data[(i+3)*n : (i+4)*n]
-		for j := 0; j < n; j++ {
-			bw := w.packed[j*kp : (j+1)*kp]
-			var c0, c1, c2, c3 uint64
-			for t, wv := range bw {
-				c0 += (a0[t] * wv >> (2 * laneBits)) & laneMask
-				c1 += (a1[t] * wv >> (2 * laneBits)) & laneMask
-				c2 += (a2[t] * wv >> (2 * laneBits)) & laneMask
-				c3 += (a3[t] * wv >> (2 * laneBits)) & laneMask
+	// dots holds the exact int32 sums of one chunk of an output row; the
+	// requantize, bias and epilogue below are the same for both kernels.
+	var dots [64]int32
+	for i := 0; i < m; i++ {
+		f := a.Scale(i)
+		for j0 := 0; j0 < n; j0 += len(dots) {
+			d := dots[:min(len(dots), n-j0)]
+			c := 0
+			if simd && k >= 16 {
+				c = dotsInt8SIMD(d, a, w, i, j0)
 			}
-			sb := packOffset * w.sums[j]
-			d := w.scales[j]
-			var bj float32
+			dotsInt8SWAR(d[c:], a, w, i, j0+c)
+			o := dst.data[i*n+j0 : i*n+j0+len(d)]
+			ws := w.scales[j0 : j0+len(d)]
+			for c, dot := range d {
+				o[c] = float32(dot) * f * ws[c]
+			}
 			if bias != nil {
-				bj = bias.data[j]
+				for c, b := range bias.data[j0 : j0+len(d)] {
+					o[c] += b
+				}
 			}
-			v0 := float32(int32(c0)+sA0-sb)*f0*d + bj
-			v1 := float32(int32(c1)+sA1-sb)*f1*d + bj
-			v2 := float32(int32(c2)+sA2-sb)*f2*d + bj
-			v3 := float32(int32(c3)+sA3-sb)*f3*d + bj
 			switch ep {
 			case EpilogueSigmoid:
-				v0, v1, v2, v3 = FastSigmoid(v0), FastSigmoid(v1), FastSigmoid(v2), FastSigmoid(v3)
+				for c, v := range o {
+					o[c] = FastSigmoid(v)
+				}
 			case EpilogueTanh:
-				v0, v1, v2, v3 = FastTanh(v0), FastTanh(v1), FastTanh(v2), FastTanh(v3)
+				for c, v := range o {
+					o[c] = FastTanh(v)
+				}
 			}
-			o0[j], o1[j], o2[j], o3[j] = v0, v1, v2, v3
 		}
 	}
-	for ; i < m; i++ {
-		ar := a.packed[i*kp : (i+1)*kp]
-		sA := corr - packOffset*a.sums[i]
-		f := a.Scale(i)
-		o := dst.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bw := w.packed[j*kp : (j+1)*kp]
-			var c uint64
-			for t, wv := range bw {
-				c += (ar[t] * wv >> (2 * laneBits)) & laneMask
+}
+
+// dotsInt8SIMD sets dots[c] to the exact dot product of activation row i
+// with weight row j+c for the leading multiple of four columns, and
+// returns how many it set: dotInt8x4 over the leading multiple of 16 codes,
+// scalar code products over the rest. k must be at least 16.
+func dotsInt8SIMD(dots []int32, a, w *Int8Tensor, i, j int) int {
+	cols := len(dots) &^ 3
+	if cols == 0 {
+		return 0
+	}
+	k := a.cols
+	ar := a.data[i*k : (i+1)*k]
+	wr := w.data[j*k : (j+cols)*k]
+	k16 := k &^ 15
+	dotInt8x4(&ar[0], &wr[0], k16, k, cols, &dots[0])
+	if k16 < k {
+		for c := range dots[:cols] {
+			for t := k16; t < k; t++ {
+				dots[c] += int32(ar[t]) * int32(wr[c*k+t])
 			}
-			v := float32(int32(c)+sA-packOffset*w.sums[j]) * f * w.scales[j]
-			if bias != nil {
-				v += bias.data[j]
-			}
-			switch ep {
-			case EpilogueSigmoid:
-				v = FastSigmoid(v)
-			case EpilogueTanh:
-				v = FastTanh(v)
-			}
-			o[j] = v
 		}
+	}
+	return cols
+}
+
+// dotsInt8SWAR sets dots[c] to the exact dot product of activation row i
+// with weight row j+c from the packed 21-bit lanes, four weight rows per
+// pass over the activation. corr folds the +128 packing offset back out:
+// Σa·b = Σ(a+128)(b+128) − 128·Σ(a+128) − 128·Σ(b+128) + 128²·k.
+func dotsInt8SWAR(dots []int32, a, w *Int8Tensor, i, j int) {
+	kp := a.pcols
+	ar := a.packed[i*kp : (i+1)*kp]
+	corr := int32(packOffset*packOffset*a.cols) - packOffset*a.sums[i]
+	c := 0
+	for ; c+4 <= len(dots); c += 4 {
+		jc := j + c
+		w0 := w.packed[(jc+0)*kp : (jc+1)*kp]
+		w1 := w.packed[(jc+1)*kp : (jc+2)*kp]
+		w2 := w.packed[(jc+2)*kp : (jc+3)*kp]
+		w3 := w.packed[(jc+3)*kp : (jc+4)*kp]
+		var c0, c1, c2, c3 uint64
+		for t, av := range ar {
+			c0 += (av * w0[t] >> (2 * laneBits)) & laneMask
+			c1 += (av * w1[t] >> (2 * laneBits)) & laneMask
+			c2 += (av * w2[t] >> (2 * laneBits)) & laneMask
+			c3 += (av * w3[t] >> (2 * laneBits)) & laneMask
+		}
+		dots[c+0] = int32(c0) + corr - packOffset*w.sums[jc+0]
+		dots[c+1] = int32(c1) + corr - packOffset*w.sums[jc+1]
+		dots[c+2] = int32(c2) + corr - packOffset*w.sums[jc+2]
+		dots[c+3] = int32(c3) + corr - packOffset*w.sums[jc+3]
+	}
+	for ; c < len(dots); c++ {
+		wr := w.packed[(j+c)*kp : (j+c+1)*kp]
+		var acc uint64
+		for t, av := range ar {
+			acc += (av * wr[t] >> (2 * laneBits)) & laneMask
+		}
+		dots[c] = int32(acc) + corr - packOffset*w.sums[j+c]
 	}
 }
 

@@ -33,35 +33,61 @@ func refInt8MatMul(a, w *Int8Tensor, bias *Tensor, ep Epilogue) *Tensor {
 	return out
 }
 
+// TestMatMulInt8MatchesInt32Reference checks both int8 kernels, SWAR and
+// AVX2, against a plain int32 reference, including k not a multiple of 16,
+// n not a multiple of 4, and fully saturated ±127 codes.
 func TestMatMulInt8MatchesInt32Reference(t *testing.T) {
+	kernels := []bool{false}
+	if haveAVX2 {
+		kernels = append(kernels, true)
+	} else {
+		t.Log("host has no AVX2 with OS-enabled YMM state; checking the SWAR kernel only")
+	}
 	rng := NewRNG(7)
-	for _, tc := range []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 7}, {4, 128, 256}, {8, 130, 64}, {5, 2, 3},
+	for _, tc := range []struct {
+		m, k, n   int
+		saturated bool
+	}{
+		{1, 1, 1, false}, {3, 5, 7, false}, {4, 128, 256, false}, {8, 130, 64, false}, {5, 2, 3, false},
+		{1, 16, 4, false}, {2, 33, 9, false}, {3, 47, 13, false}, {1, 512, 1024, false},
+		{3, 40, 11, true}, {2, 512, 8, true},
 	} {
 		src := RandNormal(rng, 1, tc.m, tc.k)
 		wf := RandNormal(rng, 1, tc.k, tc.n)
 		bias := RandNormal(rng, 1, tc.n)
-		a := NewInt8(tc.m, tc.k, true)
-		QuantizeInto(a, src)
+		a := NewInt8(tc.m, tc.k, !tc.saturated)
+		if tc.saturated {
+			// Every activation saturates at ±127 and every weight column
+			// is ±1, so every weight code is ±127 too.
+			QuantizeWithScaleInto(a, src, 1e-6)
+			for p, v := range wf.Data() {
+				wf.Data()[p] = float32(math.Copysign(1, float64(v)))
+			}
+		} else {
+			QuantizeInto(a, src)
+		}
 		w := QuantizeWeights(wf)
-		for _, ep := range []Epilogue{EpilogueNone, EpilogueSigmoid, EpilogueTanh} {
-			dst := New(tc.m, tc.n)
-			MatMulInt8Into(dst, a, w, bias, ep)
-			want := refInt8MatMul(a, w, bias, ep)
-			for p, v := range dst.Data() {
-				if v != want.Data()[p] {
-					t.Fatalf("m=%d k=%d n=%d ep=%d: elem %d = %v, want %v",
-						tc.m, tc.k, tc.n, ep, p, v, want.Data()[p])
+		for _, simd := range kernels {
+			for _, ep := range []Epilogue{EpilogueNone, EpilogueSigmoid, EpilogueTanh} {
+				dst := New(tc.m, tc.n)
+				matMulInt8(simd, dst, a, w, bias, ep)
+				want := refInt8MatMul(a, w, bias, ep)
+				for p, v := range dst.Data() {
+					if v != want.Data()[p] {
+						t.Fatalf("simd=%v m=%d k=%d n=%d ep=%d: elem %d = %v, want %v",
+							simd, tc.m, tc.k, tc.n, ep, p, v, want.Data()[p])
+					}
 				}
 			}
-		}
-		// nil bias path
-		dst := New(tc.m, tc.n)
-		MatMulInt8Into(dst, a, w, nil, EpilogueNone)
-		want := refInt8MatMul(a, w, nil, EpilogueNone)
-		for p, v := range dst.Data() {
-			if v != want.Data()[p] {
-				t.Fatalf("nil-bias m=%d: elem %d = %v, want %v", tc.m, p, v, want.Data()[p])
+			// nil bias path
+			dst := New(tc.m, tc.n)
+			matMulInt8(simd, dst, a, w, nil, EpilogueNone)
+			want := refInt8MatMul(a, w, nil, EpilogueNone)
+			for p, v := range dst.Data() {
+				if v != want.Data()[p] {
+					t.Fatalf("simd=%v nil-bias m=%d k=%d n=%d: elem %d = %v, want %v",
+						simd, tc.m, tc.k, tc.n, p, v, want.Data()[p])
+				}
 			}
 		}
 	}
@@ -292,5 +318,48 @@ func BenchmarkMatMulInt8Gate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		QuantizeWithScaleInto(a, src, 0.05)
 		MatMulInt8Into(dst, a, wq, bias, EpilogueNone)
+	}
+}
+
+// TestQuantCodeMatchesRound pins quantCode's branch-free rounding to
+// math.Round (half away from zero) on random products, exact ties and their
+// float32 neighbours, saturation, NaN and ±Inf.
+func TestQuantCodeMatchesRound(t *testing.T) {
+	ref := func(v, inv float32) int32 {
+		f := float64(v) * float64(inv)
+		switch {
+		case f != f:
+			return 0
+		case f >= 127:
+			return 127
+		case f <= -127:
+			return -127
+		}
+		return int32(math.Round(f))
+	}
+	check := func(v, inv float32) {
+		if got, want := quantCode(v, inv), ref(v, inv); got != want {
+			t.Fatalf("quantCode(%v, %v) = %d, math.Round gives %d", v, inv, got, want)
+		}
+	}
+	rng := NewRNG(5)
+	for i := 0; i < 200000; i++ {
+		v := float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
+		inv := float32(math.Pow(2, rng.NormFloat64()*8))
+		check(v, inv)
+		check(v, 1/inv)
+	}
+	for k := -128; k <= 128; k++ {
+		tie := float32(k) + 0.5
+		for _, v := range []float32{tie, math.Nextafter32(tie, 0), math.Nextafter32(tie, 200), math.Nextafter32(tie, -200)} {
+			check(v, 1)
+			check(v*4, 0.25)
+			check(v/1024, 1024)
+		}
+	}
+	for _, v := range []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e-45, -1e-45} {
+		check(v, 1)
+		check(v, float32(math.Inf(1)))
+		check(v, 0)
 	}
 }
